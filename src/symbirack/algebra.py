@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 
 class Permutation:
@@ -172,10 +173,10 @@ Table = tuple[Row, ...]
 
 
 def _as_table(rows: Iterable[Iterable[int]], n: int, what: str) -> Table:
-    table = tuple(tuple(r) for r in rows)
+    table = tuple(map(tuple, rows))
     if len(table) != n or any(len(r) != n for r in table):
         raise ValueError(f"{what} table is not {n}x{n}")
-    if any(not 1 <= e <= n for r in table for e in r):
+    if min(map(min, table)) < 1 or max(map(max, table)) > n:
         raise ValueError(f"{what} table entry out of 1..{n}")
     return table
 
@@ -257,8 +258,7 @@ def format_birack_matrix(t: BirackTable) -> str:
     """Inverse of parse_birack_matrix (no comments, two spaces between blocks)."""
     lines = []
     for i in range(t.n):
-        blocks = (" ".join(str(e) for e in block[i]) for block in (t.under, t.over, t.virt))
-        lines.append("  ".join(blocks))
+        lines.append("  ".join(" ".join(map(str, block[i])) for block in (t.under, t.over, t.virt)))
     return "\n".join(lines) + "\n"
 
 
@@ -272,117 +272,260 @@ def characteristic(t: BirackTable) -> int:
     return t.characteristic
 
 
+# ---------------------------------------------------------------------------
+# the axioms, written once as data
+
+
+Term = Union[str, tuple]  # a variable, ("pi", term) or (operation, term, term)
+
+
+class Law(NamedTuple):
+    """One axiom family as an identity of terms over 0-based tables.
+
+    An "equation" holds when ``left == right`` at every assignment of
+    ``variables``; a "bijection" holds when the map from assignments to
+    ``(left, right)`` is injective, hence bijective on the finite set.
+    Terms apply ``under``, ``over`` and ``virt`` to two terms and ``pi``
+    to one.
+    """
+
+    family: str
+    variables: str
+    left: Term
+    right: Term
+    kind: str = "equation"
+
+
+def _laws() -> tuple[Law, ...]:
+    x, y, z = "x", "y", "z"
+
+    def u(a, b):
+        return ("under", a, b)
+
+    def o(a, b):
+        return ("over", a, b)
+
+    def v(a, b):
+        return ("virt", a, b)
+
+    def p(a):
+        return ("pi", a)
+
+    return (
+        Law("i.1", "x", o(p(x), x), u(x, p(x))),
+        Law("i.2", "x", p(o(x, x)), u(x, x)),
+        # every column map is an involution
+        Law("ii.inv.under", "xy", u(u(x, y), y), x),
+        Law("ii.inv.over", "xy", o(o(x, y), y), x),
+        Law("ii.inv.virt", "xy", v(v(x, y), y), x),
+        # the other strand may be taken before or after its own passage
+        # through the crossing
+        Law("ii.mix.under", "xy", u(x, y), u(x, o(y, x))),
+        Law("ii.mix.over", "xy", o(x, y), o(x, u(y, x))),
+        Law("ii.mix.virt", "xy", v(x, y), v(x, v(y, x))),
+        # the sideways maps S(x,y) = (y over x, x under y) and
+        # V(x,y) = (y virt x, x virt y)
+        Law("ii.S", "xy", o(y, x), u(x, y), "bijection"),
+        Law("ii.V", "xy", v(y, x), v(x, y), "bijection"),
+        Law("iii.1", "xyz", o(o(x, y), o(z, y)), o(o(x, z), u(y, z))),
+        Law("iii.2", "xyz", u(o(x, y), o(z, y)), o(u(x, z), u(y, z))),
+        Law("iii.3", "xyz", u(u(x, y), u(z, y)), u(u(x, z), o(y, z))),
+        Law("iii.4", "xyz", v(v(x, y), v(z, y)), v(v(x, z), v(y, z))),
+        Law("iii.5", "xyz", v(o(x, y), v(z, y)), o(v(x, z), v(y, z))),
+        Law("iii.6", "xyz", v(v(x, y), o(z, y)), v(v(x, z), u(y, z))),
+        Law("iii.7", "xyz", v(u(x, y), v(z, y)), u(v(x, z), v(y, z))),
+    )
+
+
+LAWS = _laws()
+_LAW = {law.family: law for law in LAWS}
+
 # Axiom families checked by check_axioms, in report order.  Witnesses are
 # lexicographically first; at most one witness survives per family.
-AXIOM_FAMILIES = (
-    "kink-map",
-    "i.1", "i.2",
-    "ii.inv.under", "ii.inv.over", "ii.inv.virt",
-    "ii.mix.under", "ii.mix.over", "ii.mix.virt",
-    "ii.S", "ii.V",
-    "iii.1", "iii.2", "iii.3", "iii.4", "iii.5", "iii.6", "iii.7",
-)
+AXIOM_FAMILIES = ("kink-map",) + tuple(_LAW)
+
+_TABLE = {"under": "u", "over": "o", "virt": "v"}
+
+
+def _uses_pi(term: Term) -> bool:
+    return isinstance(term, tuple) and (
+        term[0] == "pi" or any(_uses_pi(a) for a in term[1:]))
+
+
+def _compile(laws: Sequence[Law], witness: bool) -> Callable:
+    """Python function ``(n, u, o, v, p)`` evaluating ``laws`` over 0-based
+    row tables u, o, v and the 0-based kink map p.
+
+    With ``witness`` (one law) it returns the lexicographically first
+    failing assignment, 1-based, or None; otherwise True iff every law
+    holds.  Laws sharing their variables share one loop nest, fewest
+    variables first, and every subterm is computed in the outermost loop
+    that binds all of its variables.
+    """
+    lines = ["def laws(n, u, o, v, p):", " R = range(n)"]
+    groups: dict[str, list[Law]] = {}
+    for law in sorted(laws, key=lambda law: len(law.variables)):
+        groups.setdefault(law.variables, []).append(law)
+    for g, (variables, group) in enumerate(groups.items()):
+        depth = len(variables)
+        hoisted: list[list[str]] = [[] for _ in range(depth)]
+        names: dict[Term, str] = {}
+
+        def level(term):
+            if isinstance(term, str):
+                return variables.index(term) + 1
+            return max(level(a) for a in term[1:])
+
+        def bind(key, text):
+            # hoist out of the inner loop, once per subterm
+            lv = level(key)
+            if lv == depth:
+                return text
+            if key not in names:
+                names[key] = f"t{g}_{len(names)}"
+                hoisted[lv - 1].append(f"{names[key]} = {text}")
+            return names[key]
+
+        def code(term):
+            if isinstance(term, str):
+                return term
+            if term[0] == "pi":
+                return bind(term, f"p[{code(term[1])}]")
+            op, a, b = term
+            row = bind((op, a), f"{_TABLE[op]}[{code(a)}]")
+            return bind(term, f"{row}[{code(b)}]")
+
+        point = ", ".join(f"{var} + 1" for var in variables) + ","
+        body, after = [], []
+        tests = []
+        for k, law in enumerate(group):
+            left, right = code(law.left), code(law.right)
+            if law.kind == "equation":
+                tests.append(f"{left} != {right}")
+                continue
+            seen = f"seen{g}_{k}"
+            lines.append(f" {seen} = set()")
+            if witness:
+                body += [f"image = ({left}, {right})",
+                         f"if image in {seen}: return ({point})",
+                         f"{seen}.add(image)"]
+            else:
+                body.append(f"{seen}.add(({left}, {right}))")
+                after.append(f" if len({seen}) != {' * '.join(['n'] * depth)}: return False")
+        if tests:
+            fail = f"return ({point})" if witness else "return False"
+            body.insert(0, f"if {' or '.join(tests)}: {fail}")
+        for i, var in enumerate(variables):
+            lines.append(" " * (i + 1) + f"for {var} in R:")
+            lines += [" " * (i + 2) + stmt for stmt in hoisted[i]]
+        lines += [" " * (depth + 1) + stmt for stmt in body]
+        lines += after
+    lines.append(" return None" if witness else " return True")
+    scope: dict = {}
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, f"<laws {' '.join(law.family for law in laws)}>", "exec"), scope)
+    return scope["laws"]
+
+
+@functools.lru_cache(maxsize=None)
+def laws_checker(families: tuple[str, ...]) -> Callable[..., bool]:
+    """Compiled test ``(n, u, o, v, p) -> bool`` that every law of
+    ``families`` holds; tables are 0-based rows, p the 0-based kink map
+    (unused unless a family needs it).  Compiled on first use."""
+    return _compile([_LAW[family] for family in families], witness=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_finder(family: str) -> Callable[..., tuple[int, ...] | None]:
+    return _compile([_LAW[family]], witness=True)
+
+
+def kink0(under: Sequence[Sequence[int]], over: Sequence[Sequence[int]]) -> list[int] | None:
+    """Kink map pi = g o f^{-1} of 0-based tables, or None when
+    f(x) = x over x or g(x) = x under x is not a bijection."""
+    n = len(over)
+    f = [over[x][x] for x in range(n)]
+    g = [under[x][x] for x in range(n)]
+    if len(set(f)) != n or len(set(g)) != n:
+        return None
+    pi = [0] * n
+    for x in range(n):
+        pi[f[x]] = g[x]
+    return pi
 
 
 def check_axioms(t: BirackTable) -> AxiomReport:
     """Exhaustively verify all involutory virtual birack axioms.
 
     Checks, in order: existence of the kink map (both diagonals x over x
-    and x under x must be bijections); axiom (i) against
-    the derived kink map; the column-involution conditions and the three
-    mixed identities of axiom (ii); bijectivity of the sideways maps
-    S(x,y) = (y over x, x under y) and V(x,y) = (y virt x, x virt y) by
-    image counting; and the seven exchange laws over all triples.
+    and x under x must be bijections), then every law of ``LAWS``; laws
+    involving pi are skipped when it does not exist.  A table passing
+    every law at once is reported without a search for witnesses.
     """
     n = t.n
-    rng = range(1, n + 1)
-    under = t.operation("under")
-    over = t.operation("over")
-    virt = t.operation("virt")
+    u, o, v = ([[e - 1 for e in row] for row in table]
+               for table in (t.under, t.over, t.virt))
+    p = kink0(u, o)
+    if p is not None and laws_checker(tuple(_LAW))(n, u, o, v, p):
+        return AxiomReport(())
     violations: list[Violation] = []
-
-    def first(axiom: str, witnesses: Iterator[tuple[int, ...]]) -> None:
-        hit = next(witnesses, None)
-        if hit is not None:
-            violations.append(Violation(axiom, hit))
-
-    try:
-        pi = t.kink
-    except ValueError:
-        for diag in ([over(x, x) for x in rng], [under(x, x) for x in rng]):
+    if p is None:
+        for diag in ([o[x][x] for x in range(n)], [u[x][x] for x in range(n)]):
             if len(set(diag)) != n:
-                first("kink-map", ((x1, x2) for x1 in rng for x2 in rng
-                                   if x1 < x2 and diag[x1 - 1] == diag[x2 - 1]))
+                violations.append(Violation("kink-map", next(
+                    (x1 + 1, x2 + 1) for x1, x2 in itertools.combinations(range(n), 2)
+                    if diag[x1] == diag[x2])))
                 break
-    else:
-        first("i.1", ((x,) for x in rng if over(pi(x), x) != under(x, pi(x))))
-        first("i.2", ((x,) for x in rng if pi(over(x, x)) != under(x, x)))
-
-    for name, op in (("under", under), ("over", over), ("virt", virt)):
-        first(f"ii.inv.{name}", ((x, y) for x in rng for y in rng
-                                 if op(op(x, y), y) != x))
-
-    # alpha_y(x) = alpha_{beta_x(y)}(x) etc.: the other strand may be taken
-    # before or after its own passage through the crossing.
-    first("ii.mix.under", ((x, y) for x in rng for y in rng
-                           if under(x, y) != under(x, over(y, x))))
-    first("ii.mix.over", ((x, y) for x in rng for y in rng
-                          if over(x, y) != over(x, under(y, x))))
-    first("ii.mix.virt", ((x, y) for x in rng for y in rng
-                          if virt(x, y) != virt(x, virt(y, x))))
-
-    def pair_map_witness(pm: Callable[[int, int], tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-        seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for x in rng:
-            for y in rng:
-                img = pm(x, y)
-                if img in seen:
-                    yield (x, y)
-                    return
-                seen[img] = (x, y)
-
-    first("ii.S", pair_map_witness(lambda x, y: (over(y, x), under(x, y))))
-    first("ii.V", pair_map_witness(lambda x, y: (virt(y, x), virt(x, y))))
-
-    exchange_laws: Sequence[tuple[str, Callable[[int, int, int], bool]]] = (
-        ("iii.1", lambda x, y, z: over(over(x, y), over(z, y)) == over(over(x, z), under(y, z))),
-        ("iii.2", lambda x, y, z: under(over(x, y), over(z, y)) == over(under(x, z), under(y, z))),
-        ("iii.3", lambda x, y, z: under(under(x, y), under(z, y)) == under(under(x, z), over(y, z))),
-        ("iii.4", lambda x, y, z: virt(virt(x, y), virt(z, y)) == virt(virt(x, z), virt(y, z))),
-        ("iii.5", lambda x, y, z: virt(over(x, y), virt(z, y)) == over(virt(x, z), virt(y, z))),
-        ("iii.6", lambda x, y, z: virt(virt(x, y), over(z, y)) == virt(virt(x, z), under(y, z))),
-        ("iii.7", lambda x, y, z: virt(under(x, y), virt(z, y)) == under(virt(x, z), virt(y, z))),
-    )
-    for axiom, law in exchange_laws:
-        first(axiom, ((x, y, z) for x in rng for y in rng for z in rng
-                      if not law(x, y, z)))
-
+    for law in LAWS:
+        if p is None and (_uses_pi(law.left) or _uses_pi(law.right)):
+            continue
+        hit = _witness_finder(law.family)(n, u, o, v, p)
+        if hit is not None:
+            violations.append(Violation(law.family, hit))
     return AxiomReport(tuple(violations))
+
+
+def _column_kinds(rows: Sequence[Row]) -> tuple[int, ...]:
+    """Each column y of the stacked tables, named by its first equal column."""
+    columns = list(zip(*rows))
+    return tuple(columns.index(col) for col in columns)
+
+
+def _keeps_columns(kinds: Sequence[int], images: Sequence[int]) -> bool:
+    # x*r(y) = x*y for every operation: columns y and r(y) are equal in
+    # all three tables
+    return all(kinds[i - 1] == k for i, k in zip(images, kinds))
+
+
+def _maps_rows(entries: tuple[int, ...], images: tuple[int, ...]) -> bool:
+    # r(x*y) = r(x)*y for every operation: the stacked tables, entries
+    # mapped by r, equal the stacked tables with rows permuted by r
+    look, permute = _row_maps(images)
+    return operator.itemgetter(*entries)(look) == permute(entries)
+
+
+@functools.lru_cache(maxsize=4096)
+def _row_maps(images: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
+    """r as a 1-based lookup, and the map taking the entries of three
+    stacked n x n tables to the same entries with row x of each table
+    replaced by row r(x)."""
+    n = len(images)
+    return (0,) + images, operator.itemgetter(*(
+        (block + i - 1) * n + y for block in range(0, 3 * n, n)
+        for i in images for y in range(n)))
 
 
 def is_good_involution(t: BirackTable, r: Permutation) -> bool:
     """True iff r^2 = Id, r(x)*y = r(x*y) and x*r(y) = x*y for all ops."""
     if r.n != t.n:
         raise ValueError(f"permutation size {r.n} != table order {t.n}")
-    if not r.is_involution():
-        return False
-    rng = range(1, t.n + 1)
-    for name in ("under", "over", "virt"):
-        op = t.operation(name)
-        for x in rng:
-            rx = r(x)
-            for y in rng:
-                if op(rx, y) != r(op(x, y)) or op(x, r(y)) != op(x, y):
-                    return False
-    return True
+    rows = t.under + t.over + t.virt
+    return (r.is_involution() and _keeps_columns(_column_kinds(rows), r.images)
+            and _maps_rows(tuple(itertools.chain.from_iterable(rows)), r.images))
 
 
-def enumerate_involutions(n: int) -> list[Permutation]:
-    """All involutions of {1..n} (identity included), in cycle-string order.
-
-    Cycle-string order puts the identity "()" first, then "(12)", "(12)(34)",
-    "(13)", ...; the count follows T(n) = T(n-1) + (n-1) T(n-2).
-    """
+@functools.lru_cache(maxsize=None)
+def _involutions(n: int) -> tuple[Permutation, ...]:
     if n > 10:
         raise ValueError("involution enumeration capped at n = 10")
     results: list[Permutation] = []
@@ -403,12 +546,33 @@ def enumerate_involutions(n: int) -> list[Permutation]:
 
     build({})
     results.sort(key=lambda p: p.cycle_string())
-    return results
+    return tuple(results)
+
+
+@functools.lru_cache(maxsize=None)
+def _involutions_keeping(kinds: tuple[int, ...]) -> tuple[Permutation, ...]:
+    return tuple(r for r in _involutions(len(kinds)) if _keeps_columns(kinds, r.images))
+
+
+def enumerate_involutions(n: int) -> list[Permutation]:
+    """All involutions of {1..n} (identity included), in cycle-string order.
+
+    Cycle-string order puts the identity "()" first, then "(12)", "(12)(34)",
+    "(13)", ...; the count follows T(n) = T(n-1) + (n-1) T(n-2).
+    """
+    return list(_involutions(n))
 
 
 def enumerate_good_involutions(t: BirackTable) -> list[Permutation]:
-    """All good involutions of a verified table, in cycle-string order."""
-    return [r for r in enumerate_involutions(t.n) if is_good_involution(t, r)]
+    """All good involutions of a verified table, in cycle-string order.
+
+    Only the involutions that keep every column are tested row by row;
+    they depend on the table only through which columns are equal.
+    """
+    rows = t.under + t.over + t.virt
+    entries = tuple(itertools.chain.from_iterable(rows))
+    return [r for r in _involutions_keeping(_column_kinds(rows))
+            if _maps_rows(entries, r.images)]
 
 
 def is_homomorphism(src: BirackTable, dst: BirackTable,

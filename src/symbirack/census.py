@@ -4,17 +4,21 @@ invariant does not.
 
 The generator never guesses free table entries one by one.  Axiom (ii)
 forces every operation column to be an involution, so candidate tables
-are assembled from involution columns; the exchange laws then prune hard:
+are assembled from involution columns; the exchange laws then prune hard.
+Each stage evaluates a subset of ``algebra.LAWS`` with the compiled
+checker of ``algebra.laws_checker``:
 
 * the virtual table must satisfy its mixed identity and exchange law 4,
   independent of the other two operations;
 * for a fixed under table, exchange law 3 pins each over-table entry
   over[y][z] to the columns matching a map computable from under alone,
-  which usually kills the combination before any over column is chosen.
+  which usually kills the combination before any over column is chosen;
+  the pairs left must satisfy the under/over mixed identities, have a
+  kink map, and satisfy axiom (i) and exchange laws 1-3.
 
 Surviving (under, over) pairs are combined with surviving virt tables,
-filtered by the three mixed exchange laws, and finally re-checked against
-the complete axiom list before emission.
+filtered by the three mixed exchange laws, and finally re-checked by
+check_axioms, the complete axiom list, before emission.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .algebra import (
     enumerate_involutions,
     format_birack_matrix,
     is_homomorphism,
+    kink0,
+    laws_checker,
 )
 from .diagram import Diagram
 from .invariants import InvariantPolynomial, framing_tile
@@ -40,7 +46,7 @@ from .labeling import _prepare, _solve
 
 DEFAULT_ORDER_CAP = 4
 
-Table0 = list[list[int]]  # 0-based row-major operation table
+Table0 = tuple[tuple[int, ...], ...]  # 0-based row-major operation table
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,52 +55,36 @@ def _involution_images0(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i - 1 for i in p.images) for p in enumerate_involutions(n))
 
 
-def _cols_to_table(cols: Sequence[Sequence[int]], n: int) -> Table0:
+def _cols_to_table(cols: Sequence[Sequence[int]]) -> Table0:
     # cols[j][i] = i op j  ->  table[i][j]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return tuple(zip(*cols))
 
 
 def _virt_candidates(n: int) -> list[Table0]:
     """Tables of involution columns passing the virt mixed identity and
     exchange law 4."""
-    invs = _involution_images0(n)
-    rng = range(n)
+    holds = laws_checker(("ii.mix.virt", "iii.4"))
     out = []
-    for combo in itertools.product(invs, repeat=n):
-        virt = _cols_to_table(combo, n)
-        if any(virt[x][y] != virt[x][virt[y][x]] for x in rng for y in rng):
-            continue
-        ok = True
-        for x in rng:
-            vx = virt[x]
-            for y in rng:
-                vxy = virt[vx[y]]
-                for z in rng:
-                    if vxy[virt[z][y]] != virt[vx[z]][virt[y][z]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+    for combo in itertools.product(_involution_images0(n), repeat=n):
+        virt = _cols_to_table(combo)
+        if holds(n, None, None, virt, None):
             out.append(virt)
     return out
 
 
 def _classical_candidates(n: int) -> list[tuple[Table0, Table0]]:
     """(under, over) pairs passing the classical part of the axioms."""
+    mixed = laws_checker(("ii.mix.under", "ii.mix.over"))
+    exchange = laws_checker(("i.1", "iii.1", "iii.2", "iii.3"))
     invs = _involution_images0(n)
     rng = range(n)
     out = []
     for ucombo in itertools.product(invs, repeat=n):
-        under = _cols_to_table(ucombo, n)
-        # Exchange law 3 reads (x/y/z free, over only at over[y][z]):
-        #   under[under[x][y]][under[z][y]] = under[under[x][z]][over[y][z]]
-        # so j = over[y][z] must satisfy under-column-j == T_{y,z} where
-        # T(x) = under[under[bz(x)][y]][under[z][y]] with bz = under col z.
-        # (Substituting x -> bz(x) = x under z makes the left side a
-        # function of the candidate column alone.)
+        under = _cols_to_table(ucombo)
+        # Exchange law iii.3 uses over only at over[y][z].  Substituting
+        # x -> bz(x) = x under z (bz = under column z, an involution)
+        # turns it into: under column j = over[y][z] equals the map
+        # T_{y,z}(x) = under[under[bz(x)][y]][under[z][y]] of under alone.
         domains: dict[tuple[int, int], list[int]] = {}
         ok = True
         for y in rng:
@@ -122,44 +112,33 @@ def _classical_candidates(n: int) -> list[tuple[Table0, Table0]]:
         if not ok:
             continue
         for ocombo in itertools.product(*col_options):
-            over = _cols_to_table(ocombo, n)
-            good = True
-            for x in rng:
-                for y in rng:
-                    if over[x][y] != over[x][under[y][x]] or \
-                       under[x][y] != under[x][over[y][x]]:
-                        good = False
-                        break
-                if not good:
-                    break
-            if not good:
+            over = _cols_to_table(ocombo)
+            if not mixed(n, under, over, None, None):
                 continue
-            f = [over[x][x] for x in rng]
-            if len(set(f)) != n:
-                continue
-            finv = [0] * n
-            for x in rng:
-                finv[f[x]] = x
-            pi = [under[finv[x]][finv[x]] for x in rng]
-            if any(over[pi[x]][x] != under[x][pi[x]] for x in rng):
-                continue
-            for x in rng:
-                for y in rng:
-                    oxy, uxy = over[x][y], under[x][y]
-                    for z in rng:
-                        ozy, uzy = over[z][y], under[z][y]
-                        if over[oxy][ozy] != over[over[x][z]][under[y][z]] or \
-                           under[oxy][ozy] != over[under[x][z]][under[y][z]] or \
-                           under[uxy][uzy] != under[under[x][z]][over[y][z]]:
-                            good = False
-                            break
-                    if not good:
-                        break
-                if not good:
-                    break
-            if good:
+            pi = kink0(under, over)
+            if pi is not None and exchange(n, under, over, None, pi):
                 out.append((under, over))
     return out
+
+
+def _check_order(n: int, cap: int) -> None:
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n > cap:
+        raise ValueError(f"cap exceeded: order {n} > cap {cap}")
+
+
+def _pruned_triples(n: int) -> list[tuple[Table0, Table0, Table0]]:
+    """(under, over, virt) tables that survive every pruning stage,
+    lexicographic in the concatenated entry vector."""
+    holds = laws_checker(("iii.5", "iii.6", "iii.7"))
+    virts = _virt_candidates(n)
+    found = [(under, over, virt)
+             for under, over in _classical_candidates(n)
+             for virt in virts if holds(n, under, over, virt, None)]
+    found.sort(key=lambda tabs: tuple(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(tabs))))
+    return found
 
 
 def enumerate_biracks(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[BirackTable]:
@@ -167,46 +146,16 @@ def enumerate_biracks(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[BirackTa
 
     Emission order is deterministic: lexicographic in the concatenated
     entry vector (under rows, over rows, virt rows).  Every emitted table
-    passes check_axioms.
+    passes check_axioms, the final gate after the pruning stages.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > cap:
-        raise ValueError(f"cap exceeded: order {n} > cap {cap}")
-    rng = range(n)
-    found: list[tuple[Table0, Table0, Table0]] = []
-    virts = _virt_candidates(n)
-    for under, over in _classical_candidates(n):
-        for virt in virts:
-            good = True
-            for x in rng:
-                for y in rng:
-                    oxy, uxy, vxy = over[x][y], under[x][y], virt[x][y]
-                    for z in rng:
-                        vzy = virt[z][y]
-                        vxz = virt[x][z]
-                        if virt[oxy][vzy] != over[vxz][virt[y][z]] or \
-                           virt[vxy][over[z][y]] != virt[vxz][under[y][z]] or \
-                           virt[uxy][vzy] != under[vxz][virt[y][z]]:
-                            good = False
-                            break
-                    if not good:
-                        break
-                if not good:
-                    break
-            if good:
-                found.append((under, over, virt))
-    found.sort(key=lambda tabs: tuple(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(tabs))))
-    for under, over, virt in found:
+    _check_order(n, cap)
+    for under, over, virt in _pruned_triples(n):
         table = BirackTable(
             n=n,
             under=tuple(tuple(e + 1 for e in row) for row in under),
             over=tuple(tuple(e + 1 for e in row) for row in over),
             virt=tuple(tuple(e + 1 for e in row) for row in virt),
         )
-        # the pruning above is believed complete; the final gate is the
-        # full public axiom checker
         if check_axioms(table).passed:
             yield table
 
@@ -228,6 +177,7 @@ def census_record(table: BirackTable) -> CensusRecord:
 
 def census_records(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[CensusRecord]:
     """Records for all orders 1..n, in census order."""
+    _check_order(n, cap)
     for order in range(1, n + 1):
         for table in enumerate_biracks(order, cap=cap):
             yield census_record(table)

@@ -138,6 +138,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_distinguish(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise _UsageError(f"--limit must be positive, got {args.limit}")
     corpus = dict(builtin_diagrams())
     if args.corpus:
         for path in sorted(Path(args.corpus).glob("*.vlink")):

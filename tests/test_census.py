@@ -8,6 +8,7 @@ import symbirack as sb
 from symbirack.census import (
     CensusRecord,
     _eligible,
+    _pruned_triples,
     are_isomorphic,
     census_records,
     distinct_up_to_isomorphism,
@@ -51,6 +52,18 @@ class TestEnumeration:
         for t in enumerate_biracks(3):
             assert sb.check_axioms(t).passed
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pruning_stages_are_complete(self, n):
+        # the final gate rejects nothing: every triple that survives the
+        # pruning stages already passes the full axiom check
+        triples = _pruned_triples(n)
+        assert len(triples) == COUNTS[n]
+        for tables in triples:
+            under, over, virt = ([[e + 1 for e in row] for row in table]
+                                 for table in tables)
+            t = sb.BirackTable(n=n, under=under, over=over, virt=virt)
+            assert sb.check_axioms(t).passed
+
     def test_contains_packaged_order3_table(self, order3_table):
         target = _entry_vector(order3_table)
         assert any(_entry_vector(t) == target for t in enumerate_biracks(3))
@@ -62,6 +75,14 @@ class TestEnumeration:
     def test_rejects_order_beyond_cap(self):
         with pytest.raises(ValueError, match="cap exceeded: order 5 > cap 4"):
             list(enumerate_biracks(5, cap=4))
+
+    def test_records_check_the_order_first(self):
+        # the order is checked before order 1 is enumerated
+        records = census_records(5, cap=4)
+        with pytest.raises(ValueError, match="cap exceeded"):
+            next(records)
+        with pytest.raises(ValueError, match="order must be positive"):
+            next(census_records(0))
 
 
 class TestRecords:

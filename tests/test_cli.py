@@ -161,6 +161,15 @@ class TestCensus:
         assert run(["census", "5", "--out", str(tmp_path / "x")]) == 1
         assert "cap exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_order(self, tmp_path, capsys, n):
+        out = tmp_path / "x"
+        assert run(["census", n, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: order must be positive\n"
+        assert not out.exists()
+
 
 class TestDistinguish:
     def test_first_witness(self, capsys):
@@ -173,6 +182,23 @@ class TestDistinguish:
         assert all(line.startswith("    ") for line in lines[1:4])
         assert lines[1] == "    1 1 1  1 1 1  1 1 1"
         assert lines[4] == "found 1 witness(es)"
+
+    def test_cap_guard(self, capsys):
+        assert run(["distinguish", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap exceeded: order 5 > cap 4" in captured.err
+
+    def test_nonpositive_order(self, capsys):
+        assert run(["distinguish", "0"]) == 1
+        assert capsys.readouterr().err == "error: order must be positive\n"
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_nonpositive_limit_is_a_usage_error(self, capsys, limit):
+        assert run(["distinguish", "3", "--limit", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --limit must be positive, got {limit}\n"
 
     def test_no_witnesses_at_order1(self, capsys):
         assert run(["distinguish", "1"]) == 0
