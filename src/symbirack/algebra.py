@@ -344,6 +344,7 @@ _LAW = {law.family: law for law in LAWS}
 # lexicographically first; at most one witness survives per family.
 AXIOM_FAMILIES = ("kink-map",) + tuple(_LAW)
 
+
 def _uses_pi(term: Term) -> bool:
     return isinstance(term, tuple) and (
         term[0] == "pi" or any(_uses_pi(a) for a in term[1:]))
