@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
@@ -98,12 +99,7 @@ class Permutation:
         return Permutation(inv)
 
     def order(self) -> int:
-        k, p = 1, self
-        ident = Permutation.identity(self.n)
-        while p != ident:
-            p = p * self
-            k += 1
-        return k
+        return math.lcm(*map(len, self.cycles()))
 
     def is_involution(self) -> bool:
         return all(self.images[img - 1] == i

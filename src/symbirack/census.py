@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -41,7 +42,7 @@ from .algebra import (
     laws_checker,
 )
 from .diagram import Diagram
-from .invariants import InvariantPolynomial, framing_tile
+from .invariants import InvariantPolynomial, framing_tile, orbit_key
 from .labeling import _prepare, _solve
 
 DEFAULT_ORDER_CAP = 4
@@ -238,32 +239,6 @@ class DistinguishingPair:
     poly_b: InvariantPolynomial
 
 
-def _class_sizes(values: Sequence[tuple[int, ...]], img: Sequence[int]) -> list[int]:
-    """rho-class sizes over raw labeling value vectors (img = rho images)."""
-    m = len(values)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        vi = values[i]
-        for j in range(i + 1, m):
-            vj = values[j]
-            if all(b == a or b == img[a - 1] for a, b in zip(vi, vj)):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    sizes: dict[int, int] = {}
-    for i in range(m):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return list(sizes.values())
-
-
 def _eligible(rho: Permutation) -> bool:
     # The identity gives Phi_rho = Phi_Z * u, a function of Phi_Z alone, so
     # it can never split a Phi_Z tie.  A fixed-point-free rho stays in: its
@@ -280,9 +255,12 @@ def find_distinguishing_pairs(
     """All (table, rho, diagram, diagram) with equal Phi_Z, unequal Phi_rho.
 
     Searches records in order; with ``limit`` set, stops as soon as that
-    many witnesses are found.  Tile diagrams are prepared once per
-    (diagram, characteristic) and labelings once per (record, diagram).
+    many witnesses are found; a ``limit`` below 1 raises ValueError.
+    Tile diagrams are prepared once per (diagram, characteristic) and
+    labelings once per (record, diagram).
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
     if isinstance(corpus, Mapping):
         named = list(corpus.items())
     else:
@@ -305,12 +283,12 @@ def find_distinguishing_pairs(
             phi_z = sum(len(v) for v in framings)
             per_diagram.append((name, d, phi_z, framings))
         for rho in rhos:
-            img = rho.images
+            key = orbit_key(rho)
             polys = [
                 (name, d, phi_z,
                  InvariantPolynomial.from_class_sizes(
                      size for framing in framings
-                     for size in _class_sizes(framing, img)))
+                     for size in Counter(map(key, framing)).values()))
                 for name, d, phi_z, framings in per_diagram
             ]
             for (na, da, za, pa), (nb, db, zb, pb) in itertools.combinations(polys, 2):

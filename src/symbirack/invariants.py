@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import BirackTable, Permutation, is_good_involution
 from .diagram import Diagram, add_positive_kink
@@ -109,43 +109,35 @@ class RhoPartition:
         return InvariantPolynomial.from_class_sizes(self.class_sizes)
 
 
+def orbit_key(r: Permutation) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Map a labeling's values to its rho-class key; r must be an involution.
+
+    For an involution, labels a and b agree or differ by r exactly when
+    min(a, r(a)) == min(b, r(b)), so two labelings are rho-equivalent
+    exactly when their keys are equal.
+    """
+    if not r.is_involution():
+        raise ValueError(f"{r.cycle_string()} is not an involution")
+    canon = (0, *(min(a, b) for a, b in enumerate(r.images, start=1)))
+    return lambda values: tuple(map(canon.__getitem__, values))
+
+
 def rho_classes(labelings: Sequence[Labeling], r: Permutation) -> RhoPartition:
     """Partition labelings into rho-equivalence classes.
 
     Two labelings are equivalent when at every semiarc their labels agree
     or differ by r (obtained by applying r to a subset of the labels; the
     caller must pass a good involution of the producing table for the
-    classes to have invariant meaning).
+    classes to have invariant meaning).  Raises ValueError when r is not
+    an involution.
     """
-    m = len(labelings)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    values = [lab.values for lab in labelings]
-    img = r.images
-    for i in range(m):
-        vi = values[i]
-        for j in range(i + 1, m):
-            vj = values[j]
-            if all(b == a or b == img[a - 1] for a, b in zip(vi, vj)):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    # labelings arrive sorted, so ordering classes by least index orders
-    # them by least member
-    classes = tuple(
-        tuple(labelings[i] for i in members)
-        for _, members in sorted(groups.items())
-    )
-    return RhoPartition(classes)
+    key = orbit_key(r)
+    groups: dict[tuple[int, ...], list[Labeling]] = {}
+    for lab in labelings:
+        groups.setdefault(key(lab.values), []).append(lab)
+    # classes come out in the order of their first members; labelings
+    # arrive sorted, so that orders them by least member
+    return RhoPartition(tuple(map(tuple, groups.values())))
 
 
 def framing_tile(d: Diagram, t: BirackTable) -> dict[FramingVector, Diagram]:

@@ -74,6 +74,16 @@ class TestPermutation:
         assert q.is_identity()
         assert p.is_involution() == (k <= 2)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_order_is_least_power_giving_identity(self, n):
+        ident = sb.Permutation.identity(n)
+        for images in itertools.permutations(range(1, n + 1)):
+            p = sb.Permutation(images)
+            k, q = 1, p
+            while q != ident:
+                q, k = q * p, k + 1
+            assert p.order() == k
+
 
 # ---------------------------------------------------------------------------
 # parsing and formatting

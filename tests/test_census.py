@@ -199,6 +199,14 @@ class TestDistinguish:
     def test_limit_respected(self, records3, corpus):
         assert len(find_distinguishing_pairs(records3, corpus, limit=3)) == 3
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_nonpositive_limit_rejected_before_any_work(self, corpus, limit):
+        def records():
+            raise AssertionError("records consumed")
+            yield
+        with pytest.raises(ValueError, match=f"limit must be positive, got {limit}"):
+            find_distinguishing_pairs(records(), corpus, limit=limit)
+
     def test_witnesses_are_sound(self, records3, corpus):
         hits = find_distinguishing_pairs(records3, corpus)
         assert len(hits) == 12

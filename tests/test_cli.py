@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through run(argv)."""
 
+import hashlib
 from importlib.resources import files
 
 import pytest
@@ -182,6 +183,14 @@ class TestDistinguish:
         assert all(line.startswith("    ") for line in lines[1:4])
         assert lines[1] == "    1 1 1  1 1 1  1 1 1"
         assert lines[4] == "found 1 witness(es)"
+
+    def test_order3_output_is_pinned(self, capsys):
+        # 12 witnesses of 4 lines each plus the summary line
+        assert run(["distinguish", "3"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 49
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e0535d60ae5f52d6380409972e2e26ed33e6c212d93c016154971fd5a77e7e3d")
 
     def test_cap_guard(self, capsys):
         assert run(["distinguish", "5"]) == 1

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import symbirack as sb
 from symbirack.invariants import InvariantPolynomial
 
+from rho_oracle import reference_rho_classes
+
 
 def poly(*terms):
     return InvariantPolynomial(tuple(terms))
@@ -107,6 +109,26 @@ class TestRhoClasses:
         rho = sb.Permutation.from_cycles("(12)", 3)
         part = sb.rho_classes([_lab((1, 1)), _lab((2, 2)), _lab((3, 3))], rho)
         assert part.polynomial().as_dict() == {1: 1, 2: 1}
+
+    def test_non_involution_rejected(self):
+        rho = sb.Permutation.from_cycles("(123)", 3)
+        with pytest.raises(ValueError, match=r"\(123\) is not an involution"):
+            sb.rho_classes([_lab((1, 2))], rho)
+
+
+def test_rho_classes_match_pairwise_oracle(records3, corpus):
+    # every census table of order <= 3 x its good involutions x the framed
+    # tile diagrams of every builtin diagram: classes and their order
+    cases = 0
+    for rec in records3:
+        for d in corpus.values():
+            for framed in sb.framing_tile(d, rec.table).values():
+                labelings = sb.enumerate_labelings(framed, rec.table)
+                for rho in rec.good_involutions:
+                    assert sb.rho_classes(labelings, rho).classes == \
+                        reference_rho_classes(labelings, rho)
+                    cases += 1
+    assert cases == 14719
 
 
 # ---------------------------------------------------------------------------
