@@ -193,7 +193,6 @@ def write_census(records: Iterable[CensusRecord], directory: str | Path) -> Path
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     index_lines = ["# index  order  characteristic  good_involutions"]
-    count = 0
     for i, rec in enumerate(records, start=1):
         stem = f"{i:04d}"
         header = (f"# order {rec.table.n}, characteristic {rec.characteristic}, "
@@ -202,7 +201,6 @@ def write_census(records: Iterable[CensusRecord], directory: str | Path) -> Path
             header + format_birack_matrix(rec.table))
         index_lines.append(
             f"{stem}  {rec.table.n}  {rec.characteristic}  {len(rec.good_involutions)}")
-        count = i
     (directory / "index.txt").write_text("\n".join(index_lines) + "\n")
     return directory
 

@@ -17,7 +17,6 @@ from .algebra import BirackTable, Permutation, check_axioms, enumerate_good_invo
 from .census import census_records, find_distinguishing_pairs, write_census
 from .diagram import Diagram, builtin_diagrams, parse_diagram
 from .invariants import (
-    counting_invariant,
     format_framing,
     format_polynomial,
     symmetric_enhancement,
@@ -85,21 +84,17 @@ def _dump_labelings(entry) -> None:
 def _cmd_invariant(args: argparse.Namespace) -> int:
     t = _load_verified_table(args.table)
     d = _load_diagram(args.diagram)
-    if args.verbose or args.kv:
-        # reuse the tile walk; identity is always a good involution
-        entries = tile_contributions(d, t, Permutation.identity(t.n))
-        phi_z = sum(len(e.labelings) for e in entries)
-        for e in entries:
-            if args.kv:
-                print(f"framing={format_framing(e.framing)}")
-                print(f"count={len(e.labelings)}")
-            else:
-                print(f"w={format_framing(e.framing)} : {len(e.labelings)} labelings")
-                if args.verbose:
-                    _dump_labelings(e)
-        print(f"phi_z={phi_z}" if args.kv else f"Phi_Z = {phi_z}")
-    else:
-        print(f"Phi_Z = {counting_invariant(d, t)}")
+    # identity is always a good involution
+    entries = tile_contributions(d, t, Permutation.identity(t.n))
+    phi_z = sum(len(e.labelings) for e in entries)
+    for e in entries:
+        if args.kv:
+            print(f"framing={format_framing(e.framing)}")
+            print(f"count={len(e.labelings)}")
+        elif args.verbose:
+            print(f"w={format_framing(e.framing)} : {len(e.labelings)} labelings")
+            _dump_labelings(e)
+    print(f"phi_z={phi_z}" if args.kv else f"Phi_Z = {phi_z}")
     return 0
 
 

@@ -8,10 +8,15 @@ convention serves both crossing signs: for involutory biracks the
 inverse-crossing relations coincide with the direct ones (a consequence
 of axiom (ii) that the test suite checks rather than assumes).
 
-The main enumerator backtracks over semiarcs in strand-traversal order,
-propagating crossing outputs as soon as both inputs are known, and
-re-checks every complete assignment against all relations.  A raw
-brute-force enumerator over all n^semiarcs assignments serves as oracle.
+Propagation is planned once per diagram.  Walking the semiarcs in
+strand-traversal order, each semiarc not yet determined becomes a free
+step; the crossings whose inputs it completes, directly or through the
+outputs they set, follow it as ops that set or check one output each.
+Which semiarcs a choice determines does not depend on the values, so the
+search only tries every value of each step's free semiarc and runs the
+step's ops.  Every complete assignment is re-checked against all
+relations.  A raw brute-force enumerator over all n^semiarcs
+assignments serves as oracle.
 """
 
 from __future__ import annotations
@@ -51,8 +56,9 @@ class _Prepared(NamedTuple):
     arcs: tuple[str, ...]
     # per crossing: input slots, output slots, classical flag
     cons: tuple[tuple[int, int, int, int, bool], ...]
-    watch: tuple[tuple[int, ...], ...]  # arc -> crossings it feeds
-    order: tuple[int, ...]              # assignment order: traversal order
+    # per step: a free arc, then ops (output, table, input, input, output
+    # is new), table 0/1/2 = under/over/virt; each crossing fires once
+    plan: tuple[tuple[int, tuple[tuple[int, int, int, int, bool], ...]], ...]
     sort_positions: tuple[int, ...]     # arc indices in sorted-name order
 
 
@@ -63,13 +69,24 @@ def _prepare(d: Diagram) -> _Prepared:
         (index[c.in1], index[c.in2], index[c.out1], index[c.out2], c.is_classical)
         for c in d.crossings
     )
-    watch: list[list[int]] = [[] for _ in arcs]
-    for ci, (i1, i2, _, _, _) in enumerate(cons):
-        watch[i1].append(ci)
-        watch[i2].append(ci)
-    order = tuple(index[s] for comp in d.components for s in comp)
+    known = [False] * len(arcs)
+    waiting = list(cons)  # crossings not yet fired
+    plan = []
+    for arc in (index[s] for comp in d.components for s in comp):
+        if known[arc]:
+            continue
+        known[arc] = True
+        ops = []
+        while ready := next((c for c in waiting if known[c[0]] and known[c[1]]), ()):
+            waiting.remove(ready)
+            i1, i2, o1, o2, classical = ready
+            t1, t2 = (0, 1) if classical else (2, 2)
+            for o, table, a, b in ((o1, t1, i1, i2), (o2, t2, i2, i1)):
+                ops.append((o, table, a, b, not known[o]))
+                known[o] = True
+        plan.append((arc, tuple(ops)))
     sort_positions = tuple(index[s] for s in sorted(arcs))
-    return _Prepared(arcs, cons, tuple(map(tuple, watch)), order, sort_positions)
+    return _Prepared(arcs, cons, tuple(plan), sort_positions)
 
 
 def _satisfies(values: tuple[int, ...], prep: _Prepared, t: BirackTable) -> bool:
@@ -87,48 +104,31 @@ def _solve(prep: _Prepared, t: BirackTable) -> list[tuple[int, ...]]:
     """All satisfying value vectors (1-based), sorted lexicographically in
     sorted-semiarc-name order."""
     n = t.n
-    under, over, virt = t.under, t.over, t.virt
-    cons, watch, order = prep.cons, prep.watch, prep.order
-    assign = [0] * len(prep.arcs)  # 0 = unassigned
+    tables = (t.under, t.over, t.virt)
+    plan = prep.plan
+    # the plan reads an arc only after the current path has set it, so
+    # values left over from an abandoned branch are never read
+    values = [0] * len(prep.arcs)
     found: list[tuple[int, ...]] = []
 
-    def propagate(seed: int, trail: list[int]) -> bool:
-        queue = [seed]
-        while queue:
-            for ci in watch[queue.pop()]:
-                i1, i2, o1, o2, classical = cons[ci]
-                v1, v2 = assign[i1], assign[i2]
-                if not v1 or not v2:
-                    continue
-                t1, t2 = (under, over) if classical else (virt, virt)
-                for o, w in ((o1, t1[v1 - 1][v2 - 1]), (o2, t2[v2 - 1][v1 - 1])):
-                    cur = assign[o]
-                    if cur:
-                        if cur != w:
-                            return False
-                    else:
-                        assign[o] = w
-                        trail.append(o)
-                        queue.append(o)
-        return True
-
     def extend(k: int) -> None:
-        while k < len(order) and assign[order[k]]:
-            k += 1
-        if k == len(order):
-            found.append(tuple(assign))
+        if k == len(plan):
+            found.append(tuple(values))
             return
-        arc = order[k]
+        arc, ops = plan[k]
         for val in range(1, n + 1):
-            assign[arc] = val
-            trail = [arc]
-            if propagate(arc, trail):
+            values[arc] = val
+            for o, table, a, b, new in ops:
+                w = tables[table][values[a] - 1][values[b] - 1]
+                if new:
+                    values[o] = w
+                elif values[o] != w:
+                    break
+            else:
                 extend(k + 1)
-            for a in trail:
-                assign[a] = 0
 
     extend(0)
-    # soundness re-check is independent of propagation details
+    # soundness re-check is independent of the plan
     results = [v for v in found if _satisfies(v, prep, t)]
     results.sort(key=lambda v: tuple(v[i] for i in prep.sort_positions))
     return results

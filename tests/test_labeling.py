@@ -1,12 +1,14 @@
 """Labeling enumeration against the brute-force oracle."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import symbirack as sb
+from symbirack.labeling import _prepare
 
 
 def assignments(labelings):
@@ -114,3 +116,61 @@ def test_crossing_order_irrelevant_nontrivial(order3_table, corpus):
     rev = sb.Diagram(name=d.name, crossings=tuple(reversed(d.crossings)))
     assert assignments(sb.enumerate_labelings(d, order3_table)) == \
         assignments(sb.enumerate_labelings(rev, order3_table))
+
+
+# Framed tile entries add kinks on free loops, where a crossing's output
+# feeds its own input, and fresh "§" semiarcs; the unframed diagrams of the
+# acceptance criteria have neither.  Skipping cases above this many
+# assignments keeps the brute-force comparison to about 1.5 s.
+TILE_CAP = 10 ** 5
+
+
+@pytest.fixture(scope="module")
+def tile_tables(records2, order3_table, order4_table, constant4_table):
+    """Census tables of order <= 2 and the three packaged tables."""
+    return [r.table for r in records2] + [order3_table, order4_table, constant4_table]
+
+
+@pytest.fixture(scope="module")
+def tile_diagrams(tile_tables, corpus):
+    """Every framing-tile entry of every builtin diagram, per table."""
+    return [(framed, t) for t in tile_tables for d in corpus.values()
+            for framed in sb.framing_tile(d, t).values()]
+
+
+def test_framed_tiles_match_brute_force(tile_diagrams):
+    checked = 0
+    for framed, t in tile_diagrams:
+        if t.n ** len(framed.semiarcs) > TILE_CAP:
+            continue
+        assert sb.enumerate_labelings(framed, t) == \
+            sb.brute_force_labelings(framed, t, cap=TILE_CAP), framed.name
+        checked += 1
+    assert checked >= 450
+
+
+def test_plan_fires_every_crossing_once_and_sets_before_reads(tile_diagrams):
+    # the soundness re-check in _solve would hide a dropped crossing, so the
+    # plan's structure is checked directly
+    for framed in {framed for framed, _ in tile_diagrams}:
+        prep = _prepare(framed)
+        expected = Counter()
+        for i1, i2, o1, o2, classical in prep.cons:
+            t1, t2 = (0, 1) if classical else (2, 2)
+            expected.update([(o1, t1, i1, i2), (o2, t2, i2, i1)])
+        fired = Counter()
+        set_count = Counter()
+        known = set()
+        for arc, ops in prep.plan:
+            assert arc not in known
+            known.add(arc)
+            set_count[arc] += 1
+            for o, table, a, b, new in ops:
+                assert a in known and b in known
+                assert new == (o not in known)
+                if new:
+                    known.add(o)
+                    set_count[o] += 1
+                fired[o, table, a, b] += 1
+        assert fired == expected, framed.name
+        assert set_count == Counter(range(len(prep.arcs))), framed.name
