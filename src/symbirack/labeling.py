@@ -8,20 +8,23 @@ convention serves both crossing signs: for involutory biracks the
 inverse-crossing relations coincide with the direct ones (a consequence
 of axiom (ii) that the test suite checks rather than assumes).
 
-Propagation is planned once per diagram.  Walking the semiarcs in
-strand-traversal order, each semiarc not yet determined becomes a free
-step; the crossings whose inputs it completes, directly or through the
-outputs they set, follow it as ops that set or check one output each.
-Which semiarcs a choice determines does not depend on the values, so the
-search only tries every value of each step's free semiarc and runs the
-step's ops.  Every complete assignment is re-checked against all
-relations.  A raw brute-force enumerator over all n^semiarcs
-assignments serves as oracle.
+Propagation is planned once per diagram.  Each free step takes the
+unknown input of the first crossing (in crossing order) whose other input
+is already known, so that crossing fires at once; only when no crossing
+has exactly one known input does the step take the next undetermined
+semiarc in strand-traversal order.  The crossings whose inputs the free
+semiarc completes, directly or through the outputs they set, follow it
+as ops that set or check one output each.  Which semiarcs a choice
+determines does not depend on the values, so the search only tries every
+value of each step's free semiarc and runs the step's ops.  Every
+complete assignment is re-checked against all relations.  A raw
+brute-force enumerator over all n^semiarcs assignments serves as oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -71,10 +74,16 @@ def _prepare(d: Diagram) -> _Prepared:
     )
     known = [False] * len(arcs)
     waiting = list(cons)  # crossings not yet fired
+    traversal = [index[s] for comp in d.components for s in comp]
     plan = []
-    for arc in (index[s] for comp in d.components for s in comp):
-        if known[arc]:
-            continue
+    while True:
+        # the unknown input of the first crossing with one known input, so
+        # that crossing fires; else the next unknown arc along the strands
+        arc = next(itertools.chain(
+            (i2 if known[i1] else i1 for i1, i2, *_ in waiting if known[i1] != known[i2]),
+            (a for a in traversal if not known[a])), None)
+        if arc is None:
+            break
         known[arc] = True
         ops = []
         while ready := next((c for c in waiting if known[c[0]] and known[c[1]]), ()):
@@ -130,7 +139,7 @@ def _solve(prep: _Prepared, t: BirackTable) -> list[tuple[int, ...]]:
     extend(0)
     # soundness re-check is independent of the plan
     results = [v for v in found if _satisfies(v, prep, t)]
-    results.sort(key=lambda v: tuple(v[i] for i in prep.sort_positions))
+    results.sort(key=operator.itemgetter(*prep.sort_positions))
     return results
 
 

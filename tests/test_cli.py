@@ -1,7 +1,11 @@
 """End-to-end command-line tests driven through run(argv)."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main()
         assert exc.value.code == 0
+
+    def test_python_dash_m_matches_run(self, capsys):
+        env = dict(os.environ)
+        package_root = str(Path(sb.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "symbirack", "check", ORDER3],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert run(["check", ORDER3]) == 0
+        assert proc.stdout == capsys.readouterr().out

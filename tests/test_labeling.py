@@ -174,3 +174,27 @@ def test_plan_fires_every_crossing_once_and_sets_before_reads(tile_diagrams):
                 fired[o, table, a, b] += 1
         assert fired == expected, framed.name
         assert set_count == Counter(range(len(prep.arcs))), framed.name
+
+
+def test_plan_picks_an_input_of_a_half_known_crossing(tile_diagrams):
+    # a free arc that completes a crossing's inputs lets that crossing fire
+    # at once; only when none exists does the plan follow the strands
+    for framed in {framed for framed, _ in tile_diagrams}:
+        prep = _prepare(framed)
+        traversal = [prep.arcs.index(s) for comp in framed.components for s in comp]
+        known = set()
+        for arc, ops in prep.plan:
+            half_known = {i2 if i1 in known else i1
+                          for i1, i2, *_ in prep.cons
+                          if (i1 in known) != (i2 in known)}
+            if half_known:
+                assert arc in half_known, framed.name
+            else:
+                assert arc == next(a for a in traversal if a not in known), framed.name
+            known.add(arc)
+            known.update(o for o, *_ in ops)
+
+
+def test_knot4_fires_a_crossing_by_the_second_step(corpus):
+    plan = _prepare(corpus["knot4"]).plan
+    assert any(ops for _, ops in plan[:2])
