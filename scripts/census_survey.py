@@ -23,10 +23,14 @@ class SurveyConfig:
 
 
 def survey(cfg: SurveyConfig) -> None:
+    # the census order cap holds here too, checked before order 1 runs
+    cap = sb.census.DEFAULT_ORDER_CAP
+    if cfg.max_order > cap:
+        raise ValueError(f"cap exceeded: order {cfg.max_order} > cap {cap}")
     all_records = []
     for n in range(1, cfg.max_order + 1):
         t0 = time.perf_counter()
-        records = [sb.census_record(t) for t in sb.enumerate_biracks(n, cap=cfg.max_order)]
+        records = [sb.census_record(t) for t in sb.enumerate_biracks(n)]
         dt = time.perf_counter() - t0
         all_records.extend(records)
 

@@ -198,6 +198,14 @@ class BirackTable:
         for name in ("under", "over", "virt"):
             object.__setattr__(self, name, _as_table(getattr(self, name), self.n, name))
 
+    @classmethod
+    def _trusted(cls, n: int, under: Table, over: Table, virt: Table) -> "BirackTable":
+        """A table from tuples of rows the caller guarantees are n x n
+        with entries in 1..n; nothing is validated or copied."""
+        t = object.__new__(cls)
+        t.__dict__.update(n=n, under=under, over=over, virt=virt)
+        return t
+
     @functools.cached_property
     def kink(self) -> Permutation:
         # pi = g o f^{-1} exists iff both diagonals are bijections
@@ -250,12 +258,15 @@ def parse_birack_matrix(text: str) -> BirackTable:
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _row_text(row: Row) -> str:
+    return " ".join(map(str, row))
+
+
 def format_birack_matrix(t: BirackTable) -> str:
     """Inverse of parse_birack_matrix (no comments, two spaces between blocks)."""
-    lines = []
-    for i in range(t.n):
-        lines.append("  ".join(" ".join(map(str, block[i])) for block in (t.under, t.over, t.virt)))
-    return "\n".join(lines) + "\n"
+    return "".join(f"{_row_text(u)}  {_row_text(o)}  {_row_text(v)}\n"
+                   for u, o, v in zip(t.under, t.over, t.virt))
 
 
 def kink_map(t: BirackTable) -> Permutation:

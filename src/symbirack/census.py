@@ -14,11 +14,18 @@ checker of ``algebra.laws_checker``:
   over[y][z] to the columns matching a map computable from under alone,
   which usually kills the combination before any over column is chosen;
   the pairs left must satisfy the under/over mixed identities, have a
-  kink map, and satisfy axiom (i) and exchange laws 1-3.
+  kink map, and satisfy axiom (i) and exchange laws 1-3;
+* the mixed exchange laws are tested by the tables they read: iii.7
+  (under and virt) once per distinct under table and iii.5 (over and
+  virt) once per distinct over table, each against every virt table;
+  a pair then meets only the virt tables passing both, and iii.6, which
+  reads all three, runs on those combinations alone.
 
-Surviving (under, over) pairs are combined with surviving virt tables,
-filtered by the three mixed exchange laws, and finally re-checked by
-check_axioms, the complete axiom list, before emission.
+The surviving triples draw on few distinct tables (110 at order 4).
+Each is shifted to 1-based rows once, and the emitted BirackTables share
+them, built without re-validation: tables of involution columns of
+range(n) have the right shape and range by construction.  Every emitted
+table is still re-checked by check_axioms, the complete axiom list.
 """
 
 from __future__ import annotations
@@ -132,11 +139,19 @@ def _check_order(n: int, cap: int) -> None:
 def _pruned_triples(n: int) -> list[tuple[Table0, Table0, Table0]]:
     """(under, over, virt) tables that survive every pruning stage,
     lexicographic in the concatenated entry vector."""
-    holds = laws_checker(("iii.5", "iii.6", "iii.7"))
     virts = _virt_candidates(n)
-    found = [(under, over, virt)
-             for under, over in _classical_candidates(n)
-             for virt in virts if holds(n, under, over, virt, None)]
+    pairs = _classical_candidates(n)
+    iii5, iii6, iii7 = (laws_checker((family,)) for family in ("iii.5", "iii.6", "iii.7"))
+    # iii.7 reads only under and virt, iii.5 only over and virt: test each
+    # once per distinct table, and iii.6 only on the virts passing both
+    by_under = {under: {i for i, virt in enumerate(virts) if iii7(n, under, None, virt, None)}
+                for under in {under for under, _ in pairs}}
+    by_over = {over: {i for i, virt in enumerate(virts) if iii5(n, None, over, virt, None)}
+               for over in {over for _, over in pairs}}
+    found = [(under, over, virts[i])
+             for under, over in pairs
+             for i in by_under[under] & by_over[over]
+             if iii6(n, under, over, virts[i], None)]
     found.sort(key=lambda tabs: tuple(itertools.chain.from_iterable(
         itertools.chain.from_iterable(tabs))))
     return found
@@ -150,13 +165,12 @@ def enumerate_biracks(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[BirackTa
     passes check_axioms, the final gate after the pruning stages.
     """
     _check_order(n, cap)
-    for under, over, virt in _pruned_triples(n):
-        table = BirackTable(
-            n=n,
-            under=tuple(tuple(e + 1 for e in row) for row in under),
-            over=tuple(tuple(e + 1 for e in row) for row in over),
-            virt=tuple(tuple(e + 1 for e in row) for row in virt),
-        )
+    triples = _pruned_triples(n)
+    # tables of involution columns of range(n): valid by construction
+    one_based = {t: tuple(tuple(e + 1 for e in row) for row in t)
+                 for t in set(itertools.chain.from_iterable(triples))}
+    for tables in triples:
+        table = BirackTable._trusted(n, *map(one_based.__getitem__, tables))
         if check_axioms(table).passed:
             yield table
 

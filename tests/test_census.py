@@ -1,6 +1,9 @@
 """Census enumeration, isomorphism reduction, and the distinguishing search."""
 
+import hashlib
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +19,13 @@ from symbirack.census import (
     find_distinguishing_pairs,
     write_census,
 )
+from symbirack.cli import run
+
+from mixed_oracle import reference_pruned_triples
 
 COUNTS = {1: 1, 2: 8, 3: 198}
+# sha256 of the ``census 3`` output directory, fed as in _census_digest
+CENSUS3_SHA256 = "ad450734b54fe48c2e01bfd4a1b6dc0ee42de9ddbeb9667ca598a96506bbb89e"
 
 
 def _entry_vector(t):
@@ -63,6 +71,23 @@ class TestEnumeration:
                                  for table in tables)
             t = sb.BirackTable(n=n, under=under, over=over, virt=virt)
             assert sb.check_axioms(t).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_factored_mixed_stage_matches_oracle(self, n):
+        # the mixed exchange laws tested per table they read, then joined,
+        # keep exactly the triples of testing all three on every combination
+        assert _pruned_triples(n) == reference_pruned_triples(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tables_equal_validated_construction(self, n):
+        # the census builds its tables without validation; the validating
+        # constructor, given the same rows, must build the same tables
+        for t in enumerate_biracks(n):
+            rows = ([list(row) for row in table] for table in (t.under, t.over, t.virt))
+            assert sb.BirackTable(n, *rows) == t
+            for table in (t.under, t.over, t.virt):
+                assert type(table) is tuple
+                assert all(type(row) is tuple for row in table)
 
     def test_contains_packaged_order3_table(self, order3_table):
         target = _entry_vector(order3_table)
@@ -141,6 +166,46 @@ class TestWriteCensus:
             assert int(order) == rec.table.n
             assert int(char) == rec.characteristic
             assert int(goods) == len(rec.good_involutions)
+
+
+def _census_digest(folder):
+    """sha256 of index.txt and then every other file in name order, each
+    fed as name, NUL, content, NUL; with the file count and byte total."""
+    h = hashlib.sha256()
+    names = sorted(p.name for p in folder.iterdir())
+    names.sort(key=lambda name: name != "index.txt")
+    total = 0
+    for name in names:
+        data = (folder / name).read_bytes()
+        total += len(data)
+        h.update(name.encode() + b"\0" + data + b"\0")
+    return h.hexdigest(), len(names), total
+
+
+def test_census3_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "census3"
+    assert run(["census", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 207 tables (orders 1..3) to {out}\n"
+    assert _census_digest(out) == (CENSUS3_SHA256, 208, 24995)
+
+
+def _load_survey_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "census_survey.py"
+    spec = importlib.util.spec_from_file_location("census_survey", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_survey_checks_the_order_cap_before_any_work(monkeypatch):
+    survey = _load_survey_script()
+
+    def spy(*args, **kwargs):
+        raise AssertionError("enumerate_biracks called")
+
+    monkeypatch.setattr(sb, "enumerate_biracks", spy)
+    with pytest.raises(ValueError, match="cap exceeded: order 5 > cap 4"):
+        survey.survey(survey.SurveyConfig(max_order=5))
 
 
 def _relabel(t, p):
