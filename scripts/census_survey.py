@@ -23,7 +23,11 @@ class SurveyConfig:
 
 
 def survey(cfg: SurveyConfig) -> None:
-    # the census order cap holds here too, checked before order 1 runs
+    # the arguments, and the census order cap, are checked before order 1 runs
+    if cfg.max_order < 1:
+        raise ValueError(f"max_order must be positive, got {cfg.max_order}")
+    if cfg.witnesses < 1:
+        raise ValueError(f"witnesses must be positive, got {cfg.witnesses}")
     cap = sb.census.DEFAULT_ORDER_CAP
     if cfg.max_order > cap:
         raise ValueError(f"cap exceeded: order {cfg.max_order} > cap {cap}")

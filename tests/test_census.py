@@ -208,6 +208,19 @@ def test_survey_checks_the_order_cap_before_any_work(monkeypatch):
         survey.survey(survey.SurveyConfig(max_order=5))
 
 
+@pytest.mark.parametrize("field, value", [("max_order", 0), ("witnesses", 0),
+                                          ("witnesses", -1)])
+def test_survey_checks_its_arguments_before_any_work(monkeypatch, field, value):
+    survey = _load_survey_script()
+
+    def spy(*args, **kwargs):
+        raise AssertionError("enumerate_biracks called")
+
+    monkeypatch.setattr(sb, "enumerate_biracks", spy)
+    with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+        survey.survey(survey.SurveyConfig(**{field: value}))
+
+
 def _relabel(t, p):
     """Conjugate every operation table by the permutation p."""
     n = t.n

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through run(argv)."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import symbirack as sb
+from symbirack import cli
 from symbirack.cli import run
 
 _DATA = files("symbirack").joinpath("data")
@@ -228,6 +230,31 @@ class TestDistinguish:
         assert out.startswith("witness 1:")
         assert "found 1 witness(es)" in out
 
+    def test_empty_corpus_is_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        body = _DATA.joinpath("diagrams/vhopf.vlink").read_text()
+        (tmp_path / "extra.vlink").write_text(body.replace("link vhopf", "link extra"))
+        monkeypatch.chdir(tmp_path)
+        assert run(["distinguish", "3", "--corpus", str(tmp_path)]) == 0
+        named = capsys.readouterr().out
+        assert " extra " in named
+        assert run(["distinguish", "3", "--corpus", ""]) == 0
+        assert capsys.readouterr().out == named
+
+    @pytest.mark.parametrize("name", ["missing", "file"])
+    def test_corpus_must_be_a_directory(self, tmp_path, monkeypatch, capsys, name):
+        path = tmp_path / name
+        if name == "file":
+            path.write_text("not a directory\n")
+
+        def spy(*args, **kwargs):
+            raise AssertionError("census_records called")
+
+        monkeypatch.setattr(cli, "census_records", spy)
+        assert run(["distinguish", "2", "--corpus", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --corpus {str(path)!r} is not a directory\n"
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):
@@ -244,6 +271,48 @@ class TestUsage:
         first = capsys.readouterr().out
         run(["enhance", ORDER3, VHOPF, "--rho", "(23)"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("argv, code", [
+        (["invariant", ORDER3, VHOPF], 0),
+        (["enhance", ORDER3, VHOPF, "--rho", "(23)", "--kv"], 0),
+        (["enhance", ORDER3, UNKNOT, "--rho", "()", "--verbose"], 0),
+        (["enhance", ORDER3, VHOPF, "--rho", "(12)"], 1),
+        (["enhance", ORDER3, VHOPF], 2),
+        (["--help"], 0),
+        (["enhance", "--help"], 0),
+        (["frobnicate"], 2),
+    ])
+    def test_repeated_runs_print_the_same(self, capsys, argv, code):
+        outcomes = []
+        for _ in range(2):
+            outcomes.append((run(argv), *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
+        out, err = outcomes[0][1:]
+        if code == 2:
+            assert out == ""
+            assert err.startswith("usage: symbirack")
+        elif argv[-1] == "--help":
+            assert out.startswith("usage: symbirack")
+        elif code == 0:
+            assert out and err == ""
+        else:
+            assert err.startswith("error: ")
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert run(["check", ORDER3]) == 0
+        assert run(["involutions", ORDER3]) == 0
+        # the main parser and one subparser per command
+        assert len(built) == 7
 
     def test_main_raises_systemexit(self, monkeypatch):
         monkeypatch.setattr("sys.argv", ["symbirack", "check", ORDER3])
